@@ -1,9 +1,8 @@
 """Refresh the checked-in Table II counter-identity fixture.
 
 The golden test (``tests/test_counter_golden.py``) replays the whole
-Table II corpus under a pinned configuration — slab storage engine,
-transactional mutation engine, default batch cutover — and compares
-every deterministic counter against
+Table II corpus at a pinned effort and job count and compares every
+deterministic counter against
 ``tests/data/table2_counters_golden.json``.  Any drift fails tier-1,
 because these counters are pure functions of the algorithm and its
 inputs: they may only change when an algorithm change *intends* them
@@ -35,21 +34,17 @@ FIXTURE = os.path.abspath(
 
 #: The pinned flow configuration.  Effort 2 keeps the refresh/test run
 #: tractable (~1 min: the fixed build cost dominates) while still
-#: driving every optimizer ladder, the strash tables, the transaction
-#: undo log, and the batch kernels over the full corpus.
+#: driving every optimizer ladder, the strash tables, and the
+#: transaction undo log over the full corpus.
 EFFORT = 2
 JOBS = 1
 
 
 def capture() -> dict:
     from repro.flows.bench import bench_table2
-    from repro.mig import batch_evaluation, graph_engine, transaction_engine
     from repro.telemetry import DETERMINISTIC_COUNTER_KEYS
 
-    with graph_engine("slab"), transaction_engine(True), batch_evaluation(
-        True
-    ):
-        entry = bench_table2(None, effort=EFFORT, jobs=JOBS)
+    entry = bench_table2(None, effort=EFFORT, jobs=JOBS)
     profile = entry["profile"]
     counters = {
         key: profile[key]
@@ -64,7 +59,6 @@ def capture() -> dict:
         ),
         "effort": EFFORT,
         "jobs": JOBS,
-        "graph_engine": entry["graph_engine"],
         "benchmarks": entry["benchmarks"],
         "counters": counters,
     }

@@ -10,9 +10,8 @@ scaled until the resulting MIGs pass 100k gates.
 
 The generators are deterministic (no RNG), so the tier is reproducible
 byte-for-byte: ``repro-synth bench --what scale`` records R/S and wall
-time per circuit in BENCH_runtime.json, and
-``benchmarks/perf_guard.py --scale`` holds the ~10k-gate member under a
-CI time budget.
+time per circuit in BENCH_runtime.json, and ``repro-synth obs gate
+--what scale`` judges them against that history.
 
 Gate counts below are *MIG* gates after :func:`mig_from_netlist` (each
 XOR costs 3 majority gates, each MAJ carry costs 1):

@@ -18,27 +18,15 @@ so historical records like ``baseline_pre_costview`` survive):
   recording per-benchmark array geometry, utilization, and the
   parallel-steps/S ratio, with every cell asserted bit-identical to
   its sequential program.
-* **tx-engine** — the transactional-rollback claim: each proposed flow
-  (``rram``/``steps`` × ``imp``/``maj``) timed over the large set under
-  the undo-journal engine and under the legacy clone-based engine,
-  asserting identical per-benchmark gate totals (bit-identity) and
-  recording both wall-clocks plus the speedup against the recorded
-  ``baseline_pre_costview`` clone-based numbers.
-
 * **scale** — the EPFL-class large-circuit tier: generated ripple
   adders / Wallace multipliers up to >100k MIG gates, each built and
   run through the Ω.I inverter-propagation flow with Table I R/S, wall
-  time, and the optimizer counters (``moves_tried``/``predicted_skips``
-  and the ``batch.*`` family) recorded per realization
-  (:func:`bench_scale`).
-* **batch-engine** — the batched trial-evaluation claim: the scale-tier
-  Ω.I flow timed per realization with the batch kernels off and on
-  (``repro.mig.batch``), asserting bit-identical graphs and non-batch
-  counters, and recording both wall-clocks plus the speedup
-  (:func:`bench_batch_engine`).
+  time, and the optimizer counters (``moves_tried``/``predicted_skips``)
+  recorded per realization (:func:`bench_scale`).
 
 Every entry records ``seconds``, ``effort``, and ``graph_engine`` (the
-slab/object storage-engine switch) — ``trace-report --validate``
+storage engine, always ``object`` since the numpy-slab engine was
+removed; older entries say ``slab``) — ``trace-report --validate``
 enforces this schema on the ledger — and the file is written with
 sorted keys so diffs stay reviewable.  Entries are plain dicts so
 downstream tooling (CI trend checks, EXPERIMENTS.md tables) can consume
@@ -186,88 +174,6 @@ def bench_fuzz_smoke(*, jobs: int = 1) -> Dict[str, object]:
     }
 
 
-def bench_tx_engine(
-    names: Optional[Sequence[str]] = None, *, effort: int = 10
-) -> Dict[str, object]:
-    """Time the proposed flows under both mutation engines.
-
-    Runs ``optimize_rram``/``optimize_steps`` for both realizations
-    over the large set (or ``names``), once with the transactional
-    undo-journal engine and once with the legacy clone-based engine,
-    requiring identical per-benchmark gate totals.  The recorded
-    speedups are against ``baseline_pre_costview`` — the original
-    whole-graph-clone implementation this engine replaces.
-    """
-    from ..benchmarks import large_names, load_mig
-    from ..mig import (
-        Realization,
-        optimize_rram,
-        optimize_steps,
-        transaction_engine,
-    )
-
-    flows = {
-        "rram_imp": lambda mig: optimize_rram(mig, Realization.IMP, effort),
-        "rram_maj": lambda mig: optimize_rram(mig, Realization.MAJ, effort),
-        "steps_imp": lambda mig: optimize_steps(mig, Realization.IMP, effort),
-        "steps_maj": lambda mig: optimize_steps(mig, Realization.MAJ, effort),
-    }
-    corpus = list(names) if names else large_names()
-    bench_start = time.perf_counter()
-    entry: Dict[str, object] = {
-        "kind": "tx-engine",
-        "benchmarks": len(corpus),
-        "flows": {},
-        **_entry_common(effort),
-    }
-    baseline: Dict[str, float] = {}
-    if os.path.exists(DEFAULT_BENCH_PATH):
-        with open(DEFAULT_BENCH_PATH, "r", encoding="utf-8") as handle:
-            baseline = (
-                json.load(handle)
-                .get("baseline_pre_costview", {})
-                .get("whole_set_seconds", {})
-            )
-
-    for label, run in flows.items():
-        timings: Dict[str, float] = {}
-        totals: Dict[str, List] = {}
-        profile: Dict[str, int] = {}
-        for engine, enabled in (("tx", True), ("legacy", False)):
-            with transaction_engine(enabled):
-                start = time.perf_counter()
-                sizes = []
-                for name in corpus:
-                    mig = load_mig(name)
-                    result = run(mig)
-                    sizes.append(mig.num_gates())
-                    if enabled:
-                        for key, value in (result.profile or {}).items():
-                            profile[key] = profile.get(key, 0) + value
-                timings[engine] = round(time.perf_counter() - start, 3)
-                totals[engine] = sizes
-                if enabled:
-                    _observe_flow_seconds(timings[engine])
-        if totals["tx"] != totals["legacy"]:
-            raise AssertionError(
-                f"{label}: transactional and clone-based engines diverge"
-            )
-        flow_entry: Dict[str, object] = {
-            "tx_seconds": timings["tx"],
-            "legacy_seconds": timings["legacy"],
-            "total_gates": sum(totals["tx"]),
-            "profile": profile,
-        }
-        recorded = baseline.get(label)
-        if recorded:
-            flow_entry["speedup_vs_clone_baseline"] = round(
-                recorded / timings["tx"], 2
-            )
-        entry["flows"][label] = flow_entry  # type: ignore[index]
-    entry["seconds"] = round(time.perf_counter() - bench_start, 3)
-    return entry
-
-
 def bench_crossbar(
     names: Optional[Sequence[str]] = None,
     *,
@@ -374,18 +280,9 @@ def bench_scale(
                 "steps": after.steps,
                 "depth": after.depth,
                 "optimize_seconds": round(opt_seconds, 3),
-                # The batching win must show in the perf trajectory,
-                # not just wall time (see docs/PERFORMANCE.md).
                 "counters": {
                     key: counters[key]
-                    for key in (
-                        "moves_tried",
-                        "predicted_skips",
-                        "batch_score_calls",
-                        "batch_candidates_scored",
-                        "batch_group_calls",
-                        "batch_strash_probes",
-                    )
+                    for key in ("moves_tried", "predicted_skips")
                 },
             }
             total_seconds += opt_seconds
@@ -394,86 +291,6 @@ def bench_scale(
         _observe_flow_seconds(build_seconds)
     return {
         "kind": "scale",
-        "seconds": round(total_seconds, 3),
-        "benchmarks": benchmarks,
-        **_entry_common(effort),
-    }
-
-
-def bench_batch_engine(
-    names: Optional[Sequence[str]] = None, *, effort: int = 1
-) -> Dict[str, object]:
-    """Measure the batched trial-evaluation speedup on the scale tier.
-
-    For each scale benchmark (default: ``wallace128``, the ≥100k-gate
-    datapoint) and each realization, runs the Ω.I inverter-propagation
-    flow once with the batch kernels disabled and once enabled
-    (:class:`repro.mig.batch.batch_evaluation`), requiring bit-identical
-    result graphs and identical non-batch CostView counters, and
-    records both wall-clocks plus the ratio.  One bench entry.
-    """
-    from ..benchmarks.scale import load_scale_mig
-    from ..mig import CostView, Realization, batch_evaluation
-    from ..mig.algorithms import inverter_propagation_pass
-    from ..mig.costview import CostViewCounters
-
-    corpus = list(names) if names else ["wallace128"]
-    benchmarks: Dict[str, object] = {}
-    total_seconds = 0.0
-    for name in corpus:
-        base = load_scale_mig(name)
-        cell: Dict[str, object] = {"gates": base.num_gates()}
-        for realization in (Realization.IMP, Realization.MAJ):
-            timings: Dict[str, float] = {}
-            graphs: Dict[str, List] = {}
-            counters: Dict[str, Dict[str, int]] = {}
-            for label, enabled in (("scalar", False), ("batch", True)):
-                mig = base.clone()
-                view = CostView(mig)
-                with batch_evaluation(enabled):
-                    start = time.perf_counter()
-                    inverter_propagation_pass(
-                        mig,
-                        realization,
-                        max_rounds=max(1, effort),
-                        view=view,
-                    )
-                    timings[label] = time.perf_counter() - start
-                graphs[label] = [
-                    mig.children(node) for node in mig.reachable_nodes()
-                ]
-                counters[label] = view.counters.as_dict()
-            if graphs["scalar"] != graphs["batch"]:
-                raise AssertionError(
-                    f"{name}/{realization.value}: batch and scalar "
-                    "optimizer runs diverge"
-                )
-            batch_only = set(CostViewCounters.BATCH_ONLY)
-            for key, value in counters["scalar"].items():
-                if key not in batch_only and counters["batch"][key] != value:
-                    raise AssertionError(
-                        f"{name}/{realization.value}: counter {key} "
-                        f"diverges ({value} scalar vs "
-                        f"{counters['batch'][key]} batch)"
-                    )
-            total_seconds += timings["scalar"] + timings["batch"]
-            cell[realization.value] = {
-                "scalar_seconds": round(timings["scalar"], 4),
-                "batch_seconds": round(timings["batch"], 4),
-                "speedup": round(
-                    timings["scalar"] / timings["batch"], 2
-                )
-                if timings["batch"] > 0
-                else 0.0,
-                "batch_score_calls": counters["batch"]["batch_score_calls"],
-                "batch_candidates_scored": counters["batch"][
-                    "batch_candidates_scored"
-                ],
-            }
-            _observe_flow_seconds(timings["batch"])
-        benchmarks[name] = cell
-    return {
-        "kind": "batch-engine",
         "seconds": round(total_seconds, 3),
         "benchmarks": benchmarks,
         **_entry_common(effort),

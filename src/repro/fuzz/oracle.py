@@ -14,29 +14,12 @@ For one generated circuit the oracle asserts, in order:
    must produce identical outcomes (the PR-1 invalidation protocol's
    core claim, here checked on adversarial inputs instead of the
    benchmark set).
-4. **Transaction differential** — every optimizer flow run twice on
-   identical clones, once under the transactional undo-journal engine
-   and once under the legacy clone-based rollback engine, must leave
-   *structurally identical* graphs (the bit-identity contract of the
-   checkpoint/rollback/commit journal, checked on adversarial inputs).
-5. **Graph-engine differential** — every optimizer flow run twice from
-   the same netlist, once on the object-dict storage engine and once on
-   the numpy-slab engine (with the vectorized kernels force-enabled so
-   the small fuzz circuits actually exercise them), must produce
-   bit-identical graphs and identical Table I costs (the
-   ``REPRO_GRAPH`` migration oracle).
-6. **Batch differential** — every batch-reachable optimizer flow run
-   twice on slab clones, once with batched trial evaluation
-   force-enabled (``REPRO_BATCH_MIN_NODES=0`` so the small fuzz
-   circuits actually take the vectorized scoring paths) and once with
-   it disabled, must produce bit-identical graphs and identical
-   Table I costs (the ``REPRO_BATCH`` oracle).
-7. **Compile cost triangle** — for both realizations, the analytic
+4. **Compile cost triangle** — for both realizations, the analytic
    ``S = K_S·D + L`` equals the CostView's incremental answer equals
    the compiler's measured step count, and the compiled program
    replayed on the device-level array simulator matches the MIG.
-8. **PLiM backend** — the serial RM3 stream computes the same function.
-9. **Crossbar mapping** — both realizations placed onto an auto-fitted
+5. **PLiM backend** — the serial RM3 stream computes the same function.
+6. **Crossbar mapping** — both realizations placed onto an auto-fitted
    W×H array and rescheduled into row-parallel steps must stay within
    the sequential step count, survive the full legality audit, and be
    bit-identical to the sequential program over the whole assignment
@@ -60,7 +43,6 @@ from ..mig import (
     Mig,
     Realization,
     anneal_complements,
-    graph_engine,
     mig_from_netlist,
     mig_matches_netlist,
     optimize_area,
@@ -69,7 +51,6 @@ from ..mig import (
     optimize_rram,
     optimize_steps,
     rram_costs,
-    transaction_engine,
 )
 from ..mig.algorithms import (
     clear_complemented_levels,
@@ -98,9 +79,6 @@ CHECKS: Tuple[str, ...] = (
     "flow-anneal",
     "flow-rewrite",
     "costview-diff",
-    "tx-diff",
-    "graph-diff",
-    "batch-diff",
     "compile-imp",
     "compile-maj",
     "plim-exec",
@@ -283,180 +261,6 @@ def _check_costview_differential(
     return None
 
 
-def _check_tx_differential(
-    base: Mig, netlist: Netlist, effort: int
-) -> Optional[OracleFailure]:
-    """Transactional vs clone-based rollback must be bit-identical.
-
-    Every optimizer flow runs twice on identical clones — once with the
-    undo-journal engine, once with the legacy whole-graph-clone engine
-    — and the resulting graphs must be *structurally* equal (same node
-    arrays, same output signals), not merely functionally equivalent.
-    """
-    for name, runner in _FLOWS:
-        tx_mig = base.clone()
-        legacy_mig = base.clone()
-        with transaction_engine(True):
-            runner(tx_mig, effort)
-        with transaction_engine(False):
-            runner(legacy_mig, effort)
-        if (
-            tx_mig._children != legacy_mig._children
-            or tx_mig._pos != legacy_mig._pos
-        ):
-            return OracleFailure(
-                "tx-diff",
-                f"flow {name}: transactional and clone-based engines "
-                f"produced structurally different graphs "
-                f"({tx_mig.num_gates()} vs {legacy_mig.num_gates()} gates)",
-            )
-        tx_mig.check_invariants()
-        if not mig_matches_netlist(tx_mig, netlist):
-            return OracleFailure(
-                "tx-diff",
-                f"flow {name} under transactions broke the function",
-            )
-    return None
-
-
-def _check_graph_differential(
-    netlist: Netlist, effort: int
-) -> Optional[OracleFailure]:
-    """Object-dict vs numpy-slab storage must be bit-identical.
-
-    Both engines build the MIG from the same netlist and run every
-    optimizer flow; the resulting graphs must be *structurally* equal
-    (same children arrays, same output signals) and agree on the
-    Table I cost model.  The slab clone force-enables the vectorized
-    kernels (``KERNEL_MIN_NODES = 0``) so the fuzz corpus — far below
-    the production cutover size — still exercises the numpy paths.
-    """
-    with graph_engine("object"):
-        object_base = mig_from_netlist(netlist)
-    with graph_engine("slab"):
-        slab_base = mig_from_netlist(netlist)
-    if (
-        object_base._children != slab_base._children
-        or object_base._pos != slab_base._pos
-    ):
-        return OracleFailure(
-            "graph-diff",
-            "object and slab engines built structurally different MIGs "
-            "from the same netlist",
-        )
-    for name, runner in _FLOWS:
-        object_mig = object_base.clone()
-        slab_mig = slab_base.clone()
-        slab_mig.KERNEL_MIN_NODES = 0
-        runner(object_mig, effort)
-        runner(slab_mig, effort)
-        if (
-            object_mig._children != slab_mig._children
-            or object_mig._pos != slab_mig._pos
-        ):
-            return OracleFailure(
-                "graph-diff",
-                f"flow {name}: object and slab engines produced "
-                f"structurally different graphs "
-                f"({object_mig.num_gates()} vs {slab_mig.num_gates()} gates)",
-            )
-        slab_mig.check_invariants()
-        for realization in (Realization.IMP, Realization.MAJ):
-            object_costs = rram_costs(object_mig, realization)
-            slab_costs = rram_costs(slab_mig, realization)
-            if object_costs != slab_costs:
-                return OracleFailure(
-                    "graph-diff",
-                    f"flow {name}: {realization.value} costs diverge "
-                    f"{object_costs.as_row()} (object) vs "
-                    f"{slab_costs.as_row()} (slab kernel)",
-                )
-        if not mig_matches_netlist(slab_mig, netlist):
-            return OracleFailure(
-                "graph-diff",
-                f"flow {name} on the slab engine broke the function",
-            )
-    return None
-
-
-#: Flows whose optimizers consult the batch layer (inverter
-#: propagation, complemented-level clearing, annealing's census init).
-#: ``flow-area``/``flow-depth``/``flow-rewrite`` never reach batched
-#: code — cut_rewrite is excluded by design — so running them under
-#: the batch differential would compare two identical scalar runs and
-#: only burn fuzz budget.
-_BATCH_FLOWS: Tuple[str, ...] = ("flow-rram", "flow-steps", "flow-anneal")
-
-
-def _check_batch_differential(
-    netlist: Netlist, effort: int
-) -> Optional[OracleFailure]:
-    """Batched vs scalar trial evaluation must be bit-identical.
-
-    Every batch-reachable optimizer flow (``_BATCH_FLOWS``) runs twice
-    on identical slab clones — once with the batched candidate scorer
-    force-enabled (the cutover ``REPRO_BATCH_MIN_NODES`` dropped to 0
-    so the fuzz corpus, far below the production 4096-node threshold,
-    actually exercises the vectorized paths) and once with batching
-    disabled — and the resulting graphs must be *structurally* equal
-    with identical Table I costs.  This is the acceptance-order
-    contract of the batch layer checked on adversarial inputs instead
-    of the benchmark set.
-    """
-    import os
-
-    from ..mig import batch_evaluation
-
-    with graph_engine("slab"):
-        base = mig_from_netlist(netlist)
-    saved = os.environ.get("REPRO_BATCH_MIN_NODES")
-    os.environ["REPRO_BATCH_MIN_NODES"] = "0"
-    try:
-        for name, runner in _FLOWS:
-            if name not in _BATCH_FLOWS:
-                continue
-            scalar_mig = base.clone()
-            batch_mig = base.clone()
-            with batch_evaluation(False):
-                runner(scalar_mig, effort)
-            with batch_evaluation(True):
-                runner(batch_mig, effort)
-            if (
-                scalar_mig._children != batch_mig._children
-                or scalar_mig._pos != batch_mig._pos
-            ):
-                return OracleFailure(
-                    "batch-diff",
-                    f"flow {name}: scalar and batched evaluation produced "
-                    f"structurally different graphs "
-                    f"({scalar_mig.num_gates()} vs "
-                    f"{batch_mig.num_gates()} gates)",
-                )
-            batch_mig.check_invariants()
-            for realization in (Realization.IMP, Realization.MAJ):
-                scalar_costs = rram_costs(scalar_mig, realization)
-                batch_costs = rram_costs(batch_mig, realization)
-                if scalar_costs != batch_costs:
-                    return OracleFailure(
-                        "batch-diff",
-                        f"flow {name}: {realization.value} costs diverge "
-                        f"{scalar_costs.as_row()} (scalar) vs "
-                        f"{batch_costs.as_row()} (batched)",
-                    )
-            if not mig_matches_netlist(batch_mig, netlist):
-                return OracleFailure(
-                    "batch-diff",
-                    f"flow {name} under batched evaluation broke the "
-                    f"function",
-                )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BATCH_MIN_NODES", None)
-        else:
-            os.environ["REPRO_BATCH_MIN_NODES"] = saved
-    return None
-
-
 def _check_compile(
     base: Mig, netlist: Netlist, realization: Realization, effort: int
 ) -> Optional[OracleFailure]:
@@ -609,30 +413,6 @@ def check_case(
         failure = _guarded(
             "costview-diff",
             lambda: _check_costview_differential(base, netlist),
-        )
-        if failure is not None:
-            return failure
-
-    if on("tx-diff"):
-        failure = _guarded(
-            "tx-diff",
-            lambda: _check_tx_differential(base, netlist, effort),
-        )
-        if failure is not None:
-            return failure
-
-    if on("graph-diff"):
-        failure = _guarded(
-            "graph-diff",
-            lambda: _check_graph_differential(netlist, effort),
-        )
-        if failure is not None:
-            return failure
-
-    if on("batch-diff"):
-        failure = _guarded(
-            "batch-diff",
-            lambda: _check_batch_differential(netlist, effort),
         )
         if failure is not None:
             return failure

@@ -171,21 +171,26 @@ def parse_blif(text: str, name: Optional[str] = None) -> Netlist:
                 raise BlifFormatError(f"line {line_no}: bad cover row {line!r}")
 
     netlist = Netlist(model_name)
-    for net in inputs:
-        netlist.add_input(net)
-    for _data_in, data_out in latches:
-        netlist.add_input(data_out)
+    try:
+        for net in inputs:
+            netlist.add_input(net)
+        for _data_in, data_out in latches:
+            netlist.add_input(data_out)
 
-    fresh = _NameGen()
-    for cover in covers:
-        _lower_cover(netlist, cover, fresh)
+        fresh = _NameGen()
+        for cover in covers:
+            _lower_cover(netlist, cover, fresh)
 
-    for net in outputs:
-        netlist.set_output(net)
-    for data_in, _data_out in latches:
-        netlist.set_output(data_in)
+        for net in outputs:
+            netlist.set_output(net)
+        for data_in, _data_out in latches:
+            netlist.set_output(data_in)
 
-    netlist.validate()
+        netlist.validate()
+    except NetlistError as exc:
+        # Undefined or undriven nets are malformed input, reported like
+        # every other BLIF format error.
+        raise BlifFormatError(str(exc)) from exc
     return netlist
 
 

@@ -26,16 +26,8 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..telemetry import active_trajectory, metrics, span
-from .batch import batch_enabled
-from .graph import (
-    Mig,
-    signal_is_complemented,
-    signal_node,
-    transactions_enabled,
-)
+from .graph import Mig, signal_is_complemented, signal_node
 from .rewrite import apply_inverter_propagation
 from .views import Realization, level_stats
 
@@ -85,26 +77,10 @@ class _ComplementModel:
             )
         self.flips: Dict[int, bool] = {node: False for node in self.nodes}
         self.c_per_level = [0] * (self.po_level + 1)
-        # With no flips set, the initial histogram is just "complemented
-        # non-const in-edges per parent level" — the slab engine has
-        # those as arrays (one bincount instead of an O(E) dict walk).
-        arrays = (
-            mig.slab_cost_arrays()
-            if batch_enabled() and hasattr(mig, "slab_cost_arrays")
-            else None
-        )
-        if arrays is not None:
-            counts = np.bincount(
-                arrays["levels"],
-                weights=arrays["comp"],
-                minlength=self.po_level + 1,
-            )
-            self.c_per_level = counts.astype(np.int64).tolist()
-        else:
-            for node in self.nodes:
-                for edge in self.in_edges.get(node, []):
-                    if self._edge_complement(node, edge):
-                        self.c_per_level[edge[1]] += 1
+        for node in self.nodes:
+            for edge in self.in_edges.get(node, []):
+                if self._edge_complement(node, edge):
+                    self.c_per_level[edge[1]] += 1
         for po in mig.pos:
             driver = signal_node(po)
             if driver != 0 and signal_is_complemented(po):
@@ -238,11 +214,9 @@ def _anneal_complements(
         before.rram_count(realization),
     )
     # Realize the best flip assignment under an undo scope: rejecting
-    # it rolls back and compacts, bit-identical to the legacy
-    # whole-graph ``copy_from(snapshot)`` restore.
-    use_tx = transactions_enabled()
-    token = mig.checkpoint() if use_tx else None
-    snapshot = None if use_tx else mig.clone()
+    # it rolls back and compacts, bit-identical to a whole-graph
+    # ``copy_from(snapshot)`` restore.
+    token = mig.checkpoint()
     for node in to_flip:
         if mig.is_gate(node):
             apply_inverter_propagation(mig, node)
@@ -253,17 +227,13 @@ def _anneal_complements(
     )
     recorder = active_trajectory()
     if after_costs >= before_costs:
-        if token is not None:
-            mig.rollback(token)
-            mig.compact()
-        else:
-            mig.copy_from(snapshot)
+        mig.rollback(token)
+        mig.compact()
         metrics().counter("anneal.rejected").inc()
         if recorder is not None:
             recorder.record_state(mig, view, rule="anneal", accepted=False)
         return False
-    if token is not None:
-        mig.commit(token)
+    mig.commit(token)
     metrics().counter("anneal.realized").inc()
     if recorder is not None:
         recorder.record_state(mig, view, rule="anneal", accepted=True)

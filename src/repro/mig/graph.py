@@ -48,7 +48,6 @@ never alias across a rollback).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..truth import TruthTable, table_mask
@@ -65,113 +64,29 @@ CONST0: Signal = 0
 CONST1: Signal = 1
 
 # ----------------------------------------------------------------------
-# Transaction-engine switch
+# Engine report
 # ----------------------------------------------------------------------
-# The optimizers keep their historical clone()-based rollback paths for
-# differential testing (the fuzz oracle's "tx-diff" check, the CI
-# determinism smoke).  The transactional engine is the default;
-# ``REPRO_TX=0`` in the environment disables it process-wide (worker
-# processes inherit the variable, so ``--jobs`` runs stay consistent),
-# and :class:`transaction_engine` overrides it for one in-process block.
-
-_TX_DEFAULT = os.environ.get("REPRO_TX", "1") != "0"
-_TX_OVERRIDE: Optional[bool] = None
-
-
-def transactions_enabled() -> bool:
-    """True when optimizers should roll back via checkpoint/rollback
-    instead of clone()-based snapshots (the paths are result-identical;
-    see ``REPRO_TX`` and :class:`transaction_engine`)."""
-    return _TX_DEFAULT if _TX_OVERRIDE is None else _TX_OVERRIDE
-
-
-class transaction_engine:
-    """Context manager forcing the rollback-engine choice for a block.
-
-    ``with transaction_engine(False): ...`` runs the wrapped optimizer
-    calls on the legacy clone()-based paths regardless of ``REPRO_TX``;
-    ``transaction_engine(True)`` forces the transactional engine.
-    Nested uses restore the previous override on exit.
-    """
-
-    def __init__(self, enabled: bool) -> None:
-        self._enabled = enabled
-        self._prev: Optional[bool] = None
-
-    def __enter__(self) -> "transaction_engine":
-        global _TX_OVERRIDE
-        self._prev = _TX_OVERRIDE
-        _TX_OVERRIDE = self._enabled
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        global _TX_OVERRIDE
-        _TX_OVERRIDE = self._prev
-        return False
-
-
-# ----------------------------------------------------------------------
-# Graph-engine switch
-# ----------------------------------------------------------------------
-# Two storage engines implement the same ``Mig`` facade: the historical
-# pure-object core (``ObjectMig`` — tuples, dicts, lists) and the
-# numpy-slab core (:class:`repro.mig.slab.SlabMig` — a contiguous
-# ``(capacity, 3)`` signal array kept in sync lazily, feeding vectorized
-# cost kernels).  Both are bit-identical by construction (the slab is a
-# cache *next to* the object arrays, never the source of truth for
-# mutation), so the switch is pure performance.  ``REPRO_GRAPH`` is read
-# lazily on every construction so worker processes and tests see the
-# ambient environment; :class:`graph_engine` overrides it in-process.
-
-_GRAPH_ENGINES = ("object", "slab")
-_GRAPH_OVERRIDE: Optional[str] = None
+# There is one storage engine (the object arrays below) and one rollback
+# mechanism (the undo journal).  Benchmark reports and bench-ledger
+# entries still record which engine produced a number, so these
+# report-only functions keep that vocabulary; nothing branches on them.
 
 
 def graph_engine_name() -> str:
-    """The storage engine new :class:`Mig` instances use.
-
-    ``"slab"`` (default) or ``"object"``; raises :class:`MigError` on an
-    unknown ``REPRO_GRAPH`` value so callers (the CLI) can fail fast.
-    """
-    name = _GRAPH_OVERRIDE
-    if name is None:
-        name = os.environ.get("REPRO_GRAPH", "slab")
-    if name not in _GRAPH_ENGINES:
-        raise MigError(
-            f"unknown graph engine {name!r} (expected one of "
-            f"{', '.join(_GRAPH_ENGINES)})"
-        )
-    return name
+    """The storage engine name recorded in reports: always ``"object"``."""
+    return "object"
 
 
-class graph_engine:
-    """Context manager forcing the graph storage engine for a block.
+def transactions_enabled() -> bool:
+    """Whether optimizers roll back through the undo journal: always
+    True (recorded in reports only)."""
+    return True
 
-    ``with graph_engine("object"): ...`` builds every new ``Mig`` on the
-    legacy object core regardless of ``REPRO_GRAPH``; existing instances
-    keep their engine (``clone`` preserves the concrete class).  Nested
-    uses restore the previous override on exit.
-    """
 
-    def __init__(self, name: str) -> None:
-        if name not in _GRAPH_ENGINES:
-            raise MigError(
-                f"unknown graph engine {name!r} (expected one of "
-                f"{', '.join(_GRAPH_ENGINES)})"
-            )
-        self._name = name
-        self._prev: Optional[str] = None
-
-    def __enter__(self) -> "graph_engine":
-        global _GRAPH_OVERRIDE
-        self._prev = _GRAPH_OVERRIDE
-        _GRAPH_OVERRIDE = self._name
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        global _GRAPH_OVERRIDE
-        _GRAPH_OVERRIDE = self._prev
-        return False
+def batch_enabled() -> bool:
+    """Whether batched numpy trial evaluation runs: always False
+    (recorded in reports only)."""
+    return False
 
 
 def make_signal(node: int, complement: bool = False) -> Signal:
@@ -216,25 +131,7 @@ def _reduce_majority(children: Tuple[Signal, Signal, Signal]) -> Optional[Signal
 
 
 class Mig:
-    """A mutable, structurally hashed Majority-Inverter Graph.
-
-    ``Mig(...)`` is a facade: construction dispatches to the concrete
-    storage engine selected by :func:`graph_engine_name` (the numpy-slab
-    core by default, the legacy object core under
-    ``REPRO_GRAPH=object``).  Subclasses instantiate themselves
-    directly, so ``clone()`` — which builds ``type(self)(...)`` — always
-    preserves the engine of the instance being cloned.
-    """
-
-    def __new__(cls, name: str = "mig") -> "Mig":
-        if cls is Mig:
-            if graph_engine_name() == "slab":
-                from .slab import SlabMig
-
-                cls = SlabMig
-            else:
-                cls = ObjectMig
-        return object.__new__(cls)
+    """A mutable, structurally hashed Majority-Inverter Graph."""
 
     def __init__(self, name: str = "mig") -> None:
         self.name = name
@@ -305,13 +202,7 @@ class Mig:
             "mig.strash_misses": self.strash_misses,
             "graph.compactions": self.compactions,
             "graph.nodes_allocated": len(self._children),
-            "graph.slab_capacity": self.slab_capacity,
         }
-
-    @property
-    def slab_capacity(self) -> int:
-        """Allocated slab rows (0 on the object engine — no slab)."""
-        return 0
 
     def enable_event_log(self) -> int:
         """Start recording structural events for incremental views.
@@ -635,8 +526,8 @@ class Mig:
     def _reachable_cached(self) -> List[int]:
         """The shared per-generation topological order — do NOT mutate.
 
-        In-package consumers (CostView, clone, simulation, the cost
-        kernels) read this directly to skip both the DFS and the
+        In-package consumers (CostView, clone, simulation) read this
+        directly to skip both the DFS and the
         defensive copy.
         """
         if self._order_cache_gen != self._generation or self._order_cache is None:
@@ -782,7 +673,7 @@ class Mig:
         nor collide in the strash, and the result is identical to the
         (much slower) make_maj-based rebuild it replaces.
         """
-        copy = type(self)(self.name)  # clones stay on the same engine
+        copy = Mig(self.name)
         children_arr = self._children
         mapping = [-1] * len(children_arr)  # node -> signal in copy
         mapping[0] = CONST0
@@ -907,9 +798,9 @@ class Mig:
         would *not* do — renumbering re-sorts child triples, which
         reorders the next PO-driven traversal — but the double image is
         a fixpoint, so ``compact`` is idempotent on content.  The
-        optimizers call this after :meth:`rollback` wherever the legacy
-        clone-based engine renumbered state via ``copy_from``, keeping
-        the two engines bit-identical.
+        optimizers call this after :meth:`rollback` where the historical
+        clone-snapshot rollback renumbered state via ``copy_from``, so
+        their results stay bit-identical to it.
         """
         self.compactions += 1
         self.copy_from(self.clone())
@@ -955,9 +846,9 @@ class Mig:
         delta-update instead of recomputing.  Dict *insertion order*
         (fanout, strash) is not restored — only content — which is why
         the optimizer call sites follow a rollback with
-        :meth:`compact` wherever the legacy engine renumbered state
-        (``clone`` never reads those dicts, so the compacted result is
-        bit-identical to the legacy one).  ``generation`` keeps rising.
+        :meth:`compact` where a clone-snapshot restore would have
+        renumbered state (``clone`` never reads those dicts, so the
+        compacted result is bit-identical to the snapshot one).  ``generation`` keeps rising.
         """
         if token != len(self._tx_stack) - 1:
             raise MigError(
@@ -1144,14 +1035,3 @@ class Mig:
             f"gates={self.num_gates()})"
         )
 
-
-class ObjectMig(Mig):
-    """The legacy pure-object storage engine (tuples/dicts/lists only).
-
-    Kept alive for one release as the bit-identity oracle for the slab
-    engine (``REPRO_GRAPH=object``, the fuzz harness ``graph-diff``
-    mode, the CI engine-identity smoke).  All behavior lives in the
-    :class:`Mig` base; this class only pins the dispatch.
-    """
-
-    __slots__ = ()

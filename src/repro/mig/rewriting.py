@@ -40,7 +40,7 @@ from .cuts import (
     enumerate_cuts,
     mffc_size,
 )
-from .graph import Mig, MigError, signal_node, transactions_enabled
+from .graph import Mig, MigError, signal_node
 from .resynth import synthesize_table
 
 
@@ -59,19 +59,17 @@ def cut_rewrite(
     as a diversification step before ``eliminate``).
     """
     changed_any = False
-    use_tx = transactions_enabled()
     registry = metrics()
     rounds = registry.counter("rewrite.rounds")
     rollbacks = registry.counter("rewrite.rollbacks")
     for _round in range(max_rounds):
         rounds.inc()
         # Round-level undo scope: a tripped monotonicity guard rolls
-        # back and compacts (bit-identical to the legacy
-        # ``copy_from(round_snapshot)`` — both land on
+        # back and compacts (bit-identical to a
+        # ``copy_from(round_snapshot)`` restore — both land on
         # ``clone(clone(pre-round state))``); a surviving round commits
         # for free instead of discarding a whole-graph clone.
-        token = mig.checkpoint() if use_tx else None
-        round_snapshot = None if use_tx else mig.clone()
+        token = mig.checkpoint()
         size_before = mig.num_gates()
         changed = False
         cuts = enumerate_cuts(mig, cut_size=cut_size)
@@ -87,15 +85,11 @@ def cut_rewrite(
         if mig.num_gates() > size_before:
             # Local gains did not compose (shared logic shifted under
             # later rewrites): monotonicity guard.
-            if token is not None:
-                mig.rollback(token)
-                mig.compact()
-            else:
-                mig.copy_from(round_snapshot)
+            mig.rollback(token)
+            mig.compact()
             rollbacks.inc()
             break
-        if token is not None:
-            mig.commit(token)
+        mig.commit(token)
         if not changed:
             break
         changed_any = True

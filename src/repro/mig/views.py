@@ -29,8 +29,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .graph import Mig, signal_is_complemented, signal_node
 
 
@@ -129,53 +127,8 @@ def node_levels(mig: Mig) -> Dict[int, int]:
     return levels
 
 
-def _level_stats_from_arrays(mig: Mig, packed: dict) -> LevelStats:
-    """Assemble :class:`LevelStats` from the slab engine's bulk arrays
-    (``SlabMig.slab_cost_arrays``) — equal to the scalar result."""
-    levels: Dict[int, int] = {0: 0}
-    for pi in mig.pis:
-        levels[pi] = 0
-    order = packed["order"]
-    lvl_list = packed["lvl_list"]
-    levels.update(zip(order, map(lvl_list.__getitem__, order)))
-    depth = 0
-    for po in mig.pos:
-        lvl = lvl_list[signal_node(po)]
-        if lvl > depth:
-            depth = lvl
-    nodes_per_level = [0] * (depth + 1)
-    complements_per_level = [0] * (depth + 1)
-    # Every live node's level is <= some PO driver's level, so the
-    # bincounts never exceed depth.
-    for level, count in enumerate(np.bincount(packed["levels"]).tolist()):
-        if count:
-            nodes_per_level[level] = count
-    c_counts = np.bincount(packed["levels"], weights=packed["comp"])
-    for level, count in enumerate(c_counts.astype(np.int64).tolist()):
-        if count:
-            complements_per_level[level] = count
-    po_complements = sum(
-        1
-        for po in mig.pos
-        if signal_is_complemented(po) and signal_node(po) != 0
-    )
-    return LevelStats(
-        depth=depth,
-        size=len(order),
-        nodes_per_level=tuple(nodes_per_level),
-        complements_per_level=tuple(complements_per_level),
-        po_complements=po_complements,
-        node_levels=levels,
-    )
-
-
 def level_stats(mig: Mig) -> LevelStats:
     """Compute the per-level statistics that drive the Table I model."""
-    kernel = getattr(mig, "slab_cost_arrays", None)
-    if kernel is not None:
-        packed = kernel()
-        if packed is not None:
-            return _level_stats_from_arrays(mig, packed)
     levels: Dict[int, int] = {0: 0}
     for pi in mig.pis:
         levels[pi] = 0

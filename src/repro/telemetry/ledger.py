@@ -2,7 +2,7 @@
 
 Every PR since the CostView rewrite has *appended* to the ledger —
 ``bench`` entries, perf-guard verdicts, scale-tier counters — but
-nothing consumed it analytically: ``perf_guard.py`` compared one
+nothing consumed it analytically: a guard script compared one
 wall-clock against a hand-set budget and the deterministic counters
 went unwatched.  This module is the read side:
 
@@ -18,7 +18,7 @@ went unwatched.  This module is the read side:
   against;
 * :func:`counter_drift` — exact comparison of the deterministic
   counter families (``moves_tried``, ``events_replayed``,
-  ``strash_*``, ``batch_*``, ...).  These are machine-independent, so
+  ``strash_*``, ...).  These are machine-independent, so
   *any* unexplained change is algorithmic drift, not noise.
 
 The write side stays where it always was
@@ -47,8 +47,8 @@ ACCEPTED_BENCH_SCHEMA_VERSIONS = (1, BENCH_SCHEMA_VERSION)
 
 #: Counter families that are pure functions of the algorithm and its
 #: inputs — independent of machine speed, load, and wall-clock.  Any
-#: change against a baseline measured at the same (kind, graph_engine,
-#: effort) key is algorithmic drift and fails the counter tier of the
+#: change against a baseline measured at the same (kind, effort) key
+#: is algorithmic drift and fails the counter tier of the
 #: regression gate exactly; there is no noise band to hide in.
 DETERMINISTIC_COUNTER_KEYS = (
     # Optimizer move accounting.
@@ -67,12 +67,7 @@ DETERMINISTIC_COUNTER_KEYS = (
     "tx_checkpoints",
     "tx_rollbacks",
     "tx_undo_replayed",
-    # Batched trial evaluation (the REPRO_BATCH=0 tripwire).
-    "batch_score_calls",
-    "batch_candidates_scored",
-    "batch_group_calls",
-    "batch_strash_probes",
-    # Storage-engine occupancy (deterministic per engine).
+    # Graph occupancy.
     "nodes_allocated",
     "compactions",
 )
@@ -127,7 +122,7 @@ class NoiseBand:
 
         The MAD term is the statistical band; the relative ``slack``
         floor absorbs reference-box vs CI-runner speed differences the
-        same way ``perf_guard.py --max-ratio`` used to (slack 2.0 ==
+        same way the old guard script's ratio did (slack 2.0 ==
         the old 3× budget), so a sparsely populated ledger does not
         produce a zero-width band that fails every other machine.
         """

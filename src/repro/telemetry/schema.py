@@ -42,21 +42,15 @@ LEGACY_PROFILE_NAMES: Dict[str, str] = {
     "moves_tried": "optimizer.moves_tried",
     "moves_accepted": "optimizer.moves_accepted",
     "predicted_skips": "optimizer.predicted_skips",
-    # Batched trial-evaluation counters (REPRO_BATCH=1 only).
-    "batch_score_calls": "optimizer.batch_score_calls",
-    "batch_candidates_scored": "optimizer.batch_candidates_scored",
-    "batch_group_calls": "optimizer.batch_group_calls",
-    "batch_strash_probes": "optimizer.batch_strash_probes",
     # Mig transaction-engine / structural-hashing counters.
     "tx_checkpoints": "mig.tx_checkpoints",
     "tx_rollbacks": "mig.tx_rollbacks",
     "tx_undo_replayed": "mig.tx_undo_replayed",
     "strash_hits": "mig.strash_hits",
     "strash_misses": "mig.strash_misses",
-    # Graph storage-engine occupancy (slab/object switch).
+    # Graph occupancy.
     "compactions": "graph.compactions",
     "nodes_allocated": "graph.nodes_allocated",
-    "slab_capacity": "graph.slab_capacity",
     # Fuzz campaign stage wall-clocks (seconds).
     "generate": "fuzz.stage_seconds.generate",
     "oracle": "fuzz.stage_seconds.oracle",
@@ -87,11 +81,6 @@ KNOWN_METRICS = frozenset(
         "rram.plim.programs",
         # Crossbar mapping.
         "crossbar.mapped_programs",
-        # Perf-guard wall-clocks (gauges, seconds).
-        "perf_guard.tx_seconds",
-        "perf_guard.legacy_seconds",
-        "perf_guard.baseline_seconds",
-        "perf_guard.scale_seconds",
         # Observatory gate wall-clock (gauge, seconds).
         "obs.gate_seconds",
     }

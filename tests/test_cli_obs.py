@@ -115,8 +115,8 @@ class TestObsReport:
         assert main(["obs", "report", "--ledger",
                      str(synthetic_ledger)]) == 0
         out = capsys.readouterr().out
-        assert "table2/slab/effort=10" in out
-        assert "slab occupancy" in out
+        assert "table2/effort=10" in out
+        assert "graph occupancy" in out
 
     def test_html_report(self, synthetic_ledger, tmp_path, capsys):
         html = tmp_path / "report.html"
@@ -124,7 +124,7 @@ class TestObsReport:
                      "--html", str(html)]) == 0
         text = html.read_text()
         assert text.startswith("<!DOCTYPE html>")
-        assert "table2/slab/effort=10" in text
+        assert "table2/effort=10" in text
 
     def test_missing_ledger_exits_2(self, tmp_path, capsys):
         assert main(["obs", "report", "--ledger",

@@ -1,8 +1,7 @@
 """Counter-identity golden test over the full Table II corpus.
 
 The deterministic counter families (optimizer moves, CostView event
-replay, strash probes, transaction undo, batch kernels, slab
-occupancy) are pure functions of the algorithm and its inputs — no
+replay, strash probes, transaction undo, graph occupancy) are pure functions of the algorithm and its inputs — no
 wall-clock, no machine dependence.  This test replays the whole-set
 Table II flow under the pinned configuration recorded in
 ``tests/data/table2_counters_golden.json`` and requires every counter
@@ -35,19 +34,8 @@ def golden():
 @pytest.fixture(scope="module")
 def replayed_profile(golden):
     from repro.flows.bench import bench_table2
-    from repro.mig import (
-        batch_evaluation,
-        graph_engine,
-        transaction_engine,
-    )
 
-    with graph_engine(golden["graph_engine"]), transaction_engine(
-        True
-    ), batch_evaluation(True):
-        entry = bench_table2(
-            None, effort=golden["effort"], jobs=golden["jobs"]
-        )
-    return entry
+    return bench_table2(None, effort=golden["effort"], jobs=golden["jobs"])
 
 
 def test_corpus_size_matches_fixture(golden, replayed_profile):
@@ -81,9 +69,6 @@ def test_fixture_covers_every_counter_family(golden):
         if key not in golden["counters"]
     ]
     assert not missing, f"fixture missing counters: {missing}"
-    # The Table II corpus sits below the batch cutover, so the batch
-    # counters legitimately pin at 0 here; the REPRO_BATCH tripwire
-    # lives on the scale tier (obs gate --what scale).
     assert golden["counters"]["moves_tried"] > 0
     assert golden["counters"]["events_replayed"] > 0
     assert golden["counters"]["tx_undo_replayed"] > 0

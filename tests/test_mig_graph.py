@@ -267,3 +267,26 @@ class TestCloneAndCopy:
 
     def test_repr(self, maj3_mig):
         assert "maj3" in repr(maj3_mig)
+
+
+class TestEngineReportNames:
+    """``perfbench/run.py`` records these three names in every run's
+    environment report; removing or renaming one breaks every benchmark
+    run with an ImportError."""
+
+    def test_exported_with_fixed_values(self):
+        import repro.mig as mig_package
+
+        for name in (
+            "batch_enabled",
+            "graph_engine_name",
+            "transactions_enabled",
+        ):
+            assert name in mig_package.__all__
+        assert mig_package.batch_enabled() is False
+        assert mig_package.graph_engine_name() == "object"
+        assert mig_package.transactions_enabled() is True
+
+    def test_plain_mig_construction(self):
+        assert type(Mig("m")) is Mig
+        assert type(Mig("m").clone()) is Mig

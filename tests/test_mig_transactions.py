@@ -3,8 +3,9 @@
 The undo journal must restore graph content *exactly* (children,
 fanout, strash, POs) under arbitrary interleavings of mutations with
 nested checkpoint/commit/rollback, keep an attached CostView
-consistent, and — switched against the legacy clone-based engine —
-leave every optimizer flow bit-identical.  The NPN recipe cache behind
+consistent, and — followed by ``compact`` — land on exactly the graph a
+clone-snapshot restore (``copy_from(snapshot)``) produces, which is what
+keeps the optimizers' rollback sites bit-identical to that reference.  The NPN recipe cache behind
 ``synthesize_table`` is pinned to the packed simulation kernels.
 """
 
@@ -19,12 +20,9 @@ from repro.mig import (
     Mig,
     MigError,
     Realization,
-    optimize_rram,
     optimize_steps,
     signal_not,
     synthesize_table,
-    transaction_engine,
-    transactions_enabled,
 )
 from repro.mig.rewrite import apply_inverter_propagation
 from repro.sim import iter_assignment_chunks, simulate_mig_slices
@@ -240,36 +238,30 @@ class TestCompact:
 
 
 class TestEngineEquivalence:
-    @given(
-        st.integers(0, 10_000),
-        st.sampled_from(["steps", "rram"]),
-        st.sampled_from(list(Realization)),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_optimizers_bit_identical_between_engines(
-        self, seed, flow, realization
-    ):
-        run = optimize_steps if flow == "steps" else optimize_rram
-        with transaction_engine(True):
-            mig_tx = build_random_mig(seed, num_pis=5, num_gates=14)
-            result_tx = run(mig_tx, realization, effort=4)
-        with transaction_engine(False):
-            mig_legacy = build_random_mig(seed, num_pis=5, num_gates=14)
-            result_legacy = run(mig_legacy, realization, effort=4)
-        assert mig_tx._children == mig_legacy._children
-        assert mig_tx._pos == mig_legacy._pos
-        assert result_tx.final_size == result_legacy.final_size
-        assert result_tx.final_depth == result_legacy.final_depth
-        assert result_tx.history == result_legacy.history
+    """The undo journal against the clone-snapshot reference."""
 
-    def test_switch_scoping(self):
-        default = transactions_enabled()
-        with transaction_engine(False):
-            assert not transactions_enabled()
-            with transaction_engine(True):
-                assert transactions_enabled()
-            assert not transactions_enabled()
-        assert transactions_enabled() == default
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_rollback_compact_matches_snapshot_restore(self, seed):
+        rng = random.Random(seed)
+        mig = build_random_mig(rng.randrange(10_000), num_gates=14)
+        reference = mig.clone()
+        snapshot = mig.clone()
+        token = mig.checkpoint()
+        trial = random.Random(seed + 1)
+        for _ in range(rng.randrange(1, 15)):
+            random_mutation(mig, trial)
+            random_mutation(reference, random.Random(0))
+        mig.rollback(token)
+        mig.compact()
+        reference.copy_from(snapshot.clone())
+        # Insertion order included: it feeds the next traversal.
+        assert mig._children == reference._children
+        assert mig._pos == reference._pos
+        assert list(mig._strash.items()) == list(reference._strash.items())
+        assert [list(f.items()) for f in mig._fanout] == [
+            list(f.items()) for f in reference._fanout
+        ]
 
     def test_profile_reports_transaction_counters(self):
         mig = build_random_mig(21, num_pis=5, num_gates=14)
@@ -283,8 +275,7 @@ class TestEngineEquivalence:
             "strash_misses",
         ):
             assert key in result.profile
-        if transactions_enabled():
-            assert result.profile["tx_checkpoints"] > 0
+        assert result.profile["tx_checkpoints"] > 0
 
 
 class TestStrashAndNpnCache:

@@ -32,7 +32,6 @@ from repro.telemetry import (
 from repro.telemetry.ledger import MAD_K, MAD_SIGMA, mad, median
 from repro.telemetry.observatory import (
     build_report,
-    derive_scale_budget,
     render_report,
     render_report_html,
     scale_cell_seconds,
@@ -239,12 +238,12 @@ class TestCounterDrift:
 
     def test_any_change_is_drift(self):
         drifts = counter_drift(
-            {"moves_tried": 100, "batch_score_calls": 1},
-            {"moves_tried": 100, "batch_score_calls": 0},
+            {"moves_tried": 100, "predicted_skips": 1},
+            {"moves_tried": 100, "predicted_skips": 0},
         )
-        assert [d.name for d in drifts] == ["batch_score_calls"]
+        assert [d.name for d in drifts] == ["predicted_skips"]
         assert drifts[0].baseline == 1 and drifts[0].current == 0
-        assert "batch_score_calls" in drifts[0].describe()
+        assert "predicted_skips" in drifts[0].describe()
 
     def test_missing_current_key_is_drift(self):
         drifts = counter_drift({"strash_hits": 7}, {})
@@ -264,14 +263,14 @@ class TestCounterDrift:
         st.dictionaries(
             st.sampled_from(
                 ["moves_tried", "events_replayed", "strash_hits",
-                 "batch_score_calls"]
+                 "predicted_skips"]
             ),
             st.integers(min_value=0, max_value=10**9),
             max_size=4,
         ),
         st.sampled_from(
             ["moves_tried", "events_replayed", "strash_hits",
-             "batch_score_calls"]
+             "predicted_skips"]
         ),
         st.integers(min_value=1, max_value=100),
     )
@@ -365,9 +364,9 @@ SCALE_CELL = {
     "gates": 1000,
     "build_seconds": 1.0,
     "imp": {"optimize_seconds": 2.0, "rrams": 10, "steps": 20,
-            "counters": {"batch_score_calls": 1}},
+            "counters": {"moves_tried": 1}},
     "maj": {"optimize_seconds": 3.0, "rrams": 11, "steps": 21,
-            "counters": {"batch_score_calls": 1}},
+            "counters": {"moves_tried": 1}},
 }
 
 
@@ -401,48 +400,24 @@ class TestReport:
 
     def test_report_groups_series_and_gauges(self):
         report = self._report()
-        keys = [(row.kind, row.graph_engine, row.effort)
-                for row in report.series]
-        assert ("table2", "slab", 10) in keys
+        keys = [(row.kind, row.effort) for row in report.series]
+        assert ("table2", 10) in keys
         table2 = next(r for r in report.series if r.kind == "table2")
         assert len(table2.seconds) == 4
         # Band excludes the latest point.
         assert table2.band.count == 3
-        assert report.occupancy["occupancy"] == pytest.approx(0.5)
+        assert report.occupancy["nodes_allocated"] == 100
         assert report.scale_cells["rca1536"]["seconds"] == pytest.approx(6.0)
 
     def test_renderers_cover_every_section(self):
         report = self._report()
         text = render_report(report)
-        assert "table2/slab/effort=10" in text
-        assert "slab occupancy" in text
+        assert "table2/effort=10" in text
+        assert "graph occupancy" in text
         assert "rca1536" in text
         html = render_report_html(report)
         assert html.startswith("<!DOCTYPE html>")
         assert "rca1536" in html and "nodes_allocated" in html
-
-    def test_derive_scale_budget_uses_history(self):
-        entries = [
-            {"kind": "scale", "seconds": 1.0,
-             "benchmarks": {"rca1536": SCALE_CELL}},
-            {"kind": "perf-guard-scale", "benchmark": "rca1536",
-             "seconds": 5.5, "scale_seconds": 5.5},
-        ]
-        budget = derive_scale_budget(_ledger(entries), "rca1536", floor=0.0)
-        band = noise_band([6.0, 5.5])
-        assert budget == pytest.approx(band.upper(2.0))
-
-    def test_derive_scale_budget_floor_protects_fast_flows(self):
-        entries = [
-            {"kind": "scale", "seconds": 1.0,
-             "benchmarks": {"rca1536": SCALE_CELL}},
-        ]
-        assert derive_scale_budget(_ledger(entries), "rca1536") == 60.0
-
-    def test_derive_scale_budget_fallback(self):
-        assert derive_scale_budget(
-            _ledger([]), "rca1536", fallback=123.0
-        ) == 123.0
 
 
 # ----------------------------------------------------------------------
@@ -480,13 +455,13 @@ class TestGateFindings:
         outcome.findings.append(Finding("counter", "a", True, "fine"))
         outcome.findings.append(
             Finding("counter", "b", False,
-                    "batch_score_calls: baseline 1 -> 0")
+                    "steps: baseline 313 -> 314")
         )
         assert not outcome.passed
         assert len(outcome.failures) == 1
         rendered = render_gate([outcome])
         assert "drifting counters:" in rendered
-        assert "batch_score_calls" in rendered
+        assert "steps: baseline 313 -> 314" in rendered
         assert rendered.endswith("obs gate FAIL")
         entry = gate_entry([outcome], seconds=1.0, effort=10)
         assert entry["kind"] == "obs-gate"

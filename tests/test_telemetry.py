@@ -50,14 +50,14 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("mig.strash_hits").inc(3)
         reg.counter("mig.strash_hits").inc()
-        reg.gauge("perf_guard.tx_seconds").set(1.5)
+        reg.gauge("obs.gate_seconds").set(1.5)
         hist = reg.histogram("rram.plim.instructions")
         hist.observe(10)
         hist.observe(4)
         snap = reg.snapshot()
         assert snap == {
             "mig.strash_hits": 4,
-            "perf_guard.tx_seconds": 1.5,
+            "obs.gate_seconds": 1.5,
             "rram.plim.instructions.count": 2,
             "rram.plim.instructions.max": 10,
             "rram.plim.instructions.min": 4,
