@@ -500,35 +500,65 @@ class CostView:
         Flips never change node levels, so the outcome is a pure
         complement-histogram delta — *unless* a rewritten triple
         collides in the structural hash, which merges nodes.  The
-        collision check is conservative (order-aware over the planned
-        sequence): when a collision is possible this returns ``None``
-        and the caller must fall back to apply-and-measure.
+        collision check replays the planned sequence on an overlay of
+        the strash: flipping ``n`` allocates a fresh node for its
+        negated triple and rewrites every parent's edge to ``n``
+        (including parents allocated by earlier flips in the group and
+        dead nodes that still list ``n`` as a child), so a later flip
+        probes the triple it will really carry.  Any possible collision
+        — an existing entry, possibly a stale one, or a duplicate among
+        the rewritten triples — returns ``None`` and the caller must
+        fall back to apply-and-measure.
         """
         self._sync()
         mig = self.mig
         children_arr = mig._children
         strash = mig._strash
+        fanout = mig._fanout
         levels = self._levels
         applied = [f for f in flips if children_arr[f] is not None]
-        done: set = set()
-        for node in applied:
-            triple = children_arr[node]
-            if not (
-                (triple[0] >> 1) in done  # type: ignore[index]
-                or (triple[1] >> 1) in done  # type: ignore[index]
-                or (triple[2] >> 1) in done  # type: ignore[index]
-            ):
-                # No earlier flip rewrote a child, so the negated
-                # triple is looked up verbatim — a hit means a
-                # possible merge.
-                negated = tuple(sorted(s ^ 1 for s in triple))  # type: ignore[union-attr]
-                if negated in strash:
-                    return None
-            done.add(node)
         flip_set = set(applied)
+        # Triples changed or created by earlier flips in the group, and
+        # the overlay triples that hold one of the group's fresh ids
+        # (no entry of the real strash can hold such an id).
+        current: Dict[int, Tuple[int, int, int]] = {}
+        overlay: set = set()
+        new_parents: Dict[int, List[int]] = {}
+        next_id = len(children_arr)
+        for node in applied:
+            triple = current.get(node, children_arr[node])
+            negated = tuple(sorted(s ^ 1 for s in triple))  # type: ignore[union-attr]
+            if negated in strash or negated in overlay:
+                return None
+            fresh = next_id
+            next_id += 1
+            current[fresh] = negated  # type: ignore[assignment]
+            overlay.add(negated)
+            for s in negated:
+                new_parents.setdefault(s >> 1, []).append(fresh)
+            # Only a later flip of one of its parents can probe a
+            # triple that holds this fresh id.
+            if not any(parent in flip_set for parent in fanout[node]):
+                continue
+            for parent in [*fanout[node], *new_parents.get(node, ())]:
+                old = (
+                    current[parent]
+                    if parent in current
+                    else children_arr[parent]
+                )
+                rewritten = tuple(
+                    sorted(
+                        (fresh << 1 | ((s & 1) ^ 1)) if s >> 1 == node else s
+                        for s in old  # type: ignore[union-attr]
+                    )
+                )
+                overlay.discard(old)
+                if rewritten in overlay:
+                    return None
+                current[parent] = rewritten  # type: ignore[assignment]
+                overlay.add(rewritten)
         c_delta: Dict[int, int] = {}
         po_delta = 0
-        fanout = mig._fanout
         for node in applied:
             level = levels.get(node)
             triple = children_arr[node]
