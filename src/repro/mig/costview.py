@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graph import EVENT_ATTACH, EVENT_DETACH, EVENT_PO, Mig
+from .rewrite import apply_inverter_propagation
 from .views import LevelStats, Realization, RramCosts, level_stats
 
 
@@ -499,66 +500,42 @@ class CostView:
 
         Flips never change node levels, so the outcome is a pure
         complement-histogram delta — *unless* a rewritten triple
-        collides in the structural hash, which merges nodes.  The
-        collision check replays the planned sequence on an overlay of
-        the strash: flipping ``n`` allocates a fresh node for its
-        negated triple and rewrites every parent's edge to ``n``
-        (including parents allocated by earlier flips in the group and
-        dead nodes that still list ``n`` as a child), so a later flip
-        probes the triple it will really carry.  Any possible collision
-        — an existing entry, possibly a stale one, or a duplicate among
-        the rewritten triples — returns ``None`` and the caller must
-        fall back to apply-and-measure.
+        collides in the structural hash, which merges nodes.  Each flip
+        looks its negated triple up verbatim.  For a node whose children
+        no earlier flip in the group rewrote, a hit means a possible
+        merge: this returns ``None`` and the caller must fall back to
+        apply-and-measure.  An earlier flip of a child only relabels it
+        (``a`` becomes ``!a'``), so for such a node a miss still rules a
+        merge out, while a hit may or may not merge; the group is then
+        applied to an id-preserving copy of the graph and measured
+        there.
         """
         self._sync()
         mig = self.mig
         children_arr = mig._children
         strash = mig._strash
-        fanout = mig._fanout
         levels = self._levels
         applied = [f for f in flips if children_arr[f] is not None]
-        flip_set = set(applied)
-        # Triples changed or created by earlier flips in the group, and
-        # the overlay triples that hold one of the group's fresh ids
-        # (no entry of the real strash can hold such an id).
-        current: Dict[int, Tuple[int, int, int]] = {}
-        overlay: set = set()
-        new_parents: Dict[int, List[int]] = {}
-        next_id = len(children_arr)
+        done: set = set()
+        measure = False
         for node in applied:
-            triple = current.get(node, children_arr[node])
+            triple = children_arr[node]
             negated = tuple(sorted(s ^ 1 for s in triple))  # type: ignore[union-attr]
-            if negated in strash or negated in overlay:
-                return None
-            fresh = next_id
-            next_id += 1
-            current[fresh] = negated  # type: ignore[assignment]
-            overlay.add(negated)
-            for s in negated:
-                new_parents.setdefault(s >> 1, []).append(fresh)
-            # Only a later flip of one of its parents can probe a
-            # triple that holds this fresh id.
-            if not any(parent in flip_set for parent in fanout[node]):
-                continue
-            for parent in [*fanout[node], *new_parents.get(node, ())]:
-                old = (
-                    current[parent]
-                    if parent in current
-                    else children_arr[parent]
-                )
-                rewritten = tuple(
-                    sorted(
-                        (fresh << 1 | ((s & 1) ^ 1)) if s >> 1 == node else s
-                        for s in old  # type: ignore[union-attr]
-                    )
-                )
-                overlay.discard(old)
-                if rewritten in overlay:
+            if negated in strash:
+                if not (
+                    (triple[0] >> 1) in done  # type: ignore[index]
+                    or (triple[1] >> 1) in done  # type: ignore[index]
+                    or (triple[2] >> 1) in done  # type: ignore[index]
+                ):
                     return None
-                current[parent] = rewritten  # type: ignore[assignment]
-                overlay.add(rewritten)
+                measure = True
+            done.add(node)
+        if measure:
+            return _measure_flip_group(mig, applied, realization)
+        flip_set = set(applied)
         c_delta: Dict[int, int] = {}
         po_delta = 0
+        fanout = mig._fanout
         for node in applied:
             level = levels.get(node)
             triple = children_arr[node]
@@ -666,3 +643,24 @@ class CostView:
             costs = self.costs(realization)
             assert costs.rrams == reference.rram_count(realization)
             assert costs.steps == reference.step_count(realization)
+
+
+def _measure_flip_group(
+    mig: Mig, flips: Sequence[int], realization: Realization
+) -> Tuple[int, int]:
+    """``(S, R)`` after Ω.I-flipping ``flips`` in order, measured on a
+    copy of ``mig`` that keeps its node ids (``clone`` renumbers)."""
+    trial = Mig(mig.name)
+    trial._children = list(mig._children)
+    trial._is_pi = list(mig._is_pi)
+    trial._fanout = [dict(parents) for parents in mig._fanout]
+    trial._pis = list(mig._pis)
+    trial._pi_names = list(mig._pi_names)
+    trial._pos = list(mig._pos)
+    trial._po_names = list(mig._po_names)
+    trial._strash = dict(mig._strash)
+    for node in flips:
+        if trial.is_gate(node):
+            apply_inverter_propagation(trial, node)
+    stats = level_stats(trial)
+    return (stats.step_count(realization), stats.rram_count(realization))

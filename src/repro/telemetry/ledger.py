@@ -11,8 +11,8 @@ went unwatched.  This module is the read side:
   twice on an unchanged tree must not skew the noise statistics);
 * :class:`BaselineKey` / :meth:`Ledger.query` /
   :meth:`Ledger.baseline` — baseline selection keyed by the fields
-  that actually partition the numbers (``kind``, ``graph_engine``,
-  ``effort``, ``machine``, ``jobs``);
+  that actually partition the numbers (``kind``, ``effort``,
+  ``machine``, ``jobs``);
 * :func:`noise_band` — rolling-window median + MAD over historical
   wall-clocks, the robust statistics the wall-drift tier compares
   against;
@@ -168,7 +168,6 @@ class BaselineKey:
     """
 
     kind: str
-    graph_engine: Any = ANY
     effort: Any = ANY
     machine: Any = ANY
     jobs: Any = ANY
@@ -176,7 +175,7 @@ class BaselineKey:
     def matches(self, entry: Mapping[str, Any]) -> bool:
         if entry.get("kind") != self.kind:
             return False
-        for field_name in ("graph_engine", "effort", "machine", "jobs"):
+        for field_name in ("effort", "machine", "jobs"):
             wanted = getattr(self, field_name)
             if wanted is not ANY and entry.get(field_name) != wanted:
                 return False
@@ -184,7 +183,7 @@ class BaselineKey:
 
     def describe(self) -> str:
         parts = [f"kind={self.kind}"]
-        for field_name in ("graph_engine", "effort", "machine", "jobs"):
+        for field_name in ("effort", "machine", "jobs"):
             wanted = getattr(self, field_name)
             if wanted is not ANY:
                 parts.append(f"{field_name}={wanted}")

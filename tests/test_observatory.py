@@ -148,20 +148,20 @@ def _ledger(entries, path="synthetic.json"):
 
 class TestBaselineSelection:
     entries = [
-        {"kind": "table2", "graph_engine": "object", "effort": 10,
+        {"kind": "table2", "effort": 10,
          "seconds": 50.0, "profile": {"moves_tried": 1}},
-        {"kind": "table2", "graph_engine": "slab", "effort": 10,
+        {"kind": "table2", "effort": 10,
          "seconds": 60.0, "profile": {"moves_tried": 2}},
-        {"kind": "table2", "graph_engine": "slab", "effort": 10,
+        {"kind": "table2", "effort": 2,
          "seconds": 61.0, "profile": {"moves_tried": 3}},
-        {"kind": "scale", "graph_engine": "slab", "effort": 10,
+        {"kind": "scale", "effort": 10,
          "seconds": 70.0},
     ]
 
     def test_latest_matching_entry_wins(self):
         ledger = _ledger(self.entries)
-        key = BaselineKey("table2", graph_engine="slab", effort=10)
-        assert ledger.baseline(key)["profile"]["moves_tried"] == 3
+        key = BaselineKey("table2", effort=10)
+        assert ledger.baseline(key)["profile"]["moves_tried"] == 2
 
     def test_kind_always_filters(self):
         ledger = _ledger(self.entries)
@@ -199,7 +199,6 @@ class TestBaselineSelection:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["slab", "object"]),
                 st.integers(min_value=1, max_value=3),
                 finite_seconds,
             ),
@@ -210,15 +209,15 @@ class TestBaselineSelection:
     @settings(max_examples=50)
     def test_baseline_is_last_match_property(self, rows):
         entries = [
-            {"kind": "bench", "graph_engine": engine, "effort": effort,
+            {"kind": "bench", "effort": effort,
              "seconds": seconds, "index": index}
-            for index, (engine, effort, seconds) in enumerate(rows)
+            for index, (effort, seconds) in enumerate(rows)
         ]
         ledger = _ledger(entries)
-        for engine in ("slab", "object"):
-            key = BaselineKey("bench", graph_engine=engine)
+        for effort in (1, 2, 3):
+            key = BaselineKey("bench", effort=effort)
             expected = [e for e in ledger.entries
-                        if e["graph_engine"] == engine]
+                        if e["effort"] == effort]
             baseline = ledger.baseline(key)
             if expected:
                 assert baseline is expected[-1]
